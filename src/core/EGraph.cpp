@@ -1052,12 +1052,12 @@ size_t EGraph::approxBytes() const {
   return Total;
 }
 
-bool EGraph::governorTripped() {
+bool EGraph::governorTripped(size_t TransientBytes) {
   if (Failed)
     return true;
   if (!Gov.anyLimitSet())
     return false;
-  switch (Gov.poll(liveTupleCount(), approxBytes())) {
+  switch (Gov.poll(liveTupleCount(), approxBytes() + TransientBytes)) {
   case GovernorVerdict::Ok:
     return false;
   case GovernorVerdict::Timeout:

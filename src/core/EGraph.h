@@ -379,7 +379,10 @@ public:
   void resetCheckpointBudget() { CheckpointBudget = 0; }
 
   /// Immediate full poll (no amortization); reports the error on a trip.
-  bool governorTripped();
+  /// \p TransientBytes is memory the caller holds outside the database
+  /// (the engine's buffered matches); it counts against the memory
+  /// ceiling on top of approxBytes().
+  bool governorTripped(size_t TransientBytes = 0);
 
   /// Approximate bytes held by tables + union-find (governor ceiling).
   size_t approxBytes() const;

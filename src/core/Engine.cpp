@@ -456,8 +456,13 @@ RunReport Engine::run(const RunOptions &Options) {
     Stats.SearchSeconds = Phase.seconds();
     // Governor trips are hard stops (ErrKind::Limit, command rolls back),
     // unlike the legacy RunOptions timeout below, which is a graceful
-    // partial-result stop at iteration granularity.
-    if (Graph.governorTripped()) {
+    // partial-result stop at iteration granularity. The buffered matches
+    // are memory the database does not own yet, so the memory ceiling
+    // counts the arenas here, once per iteration.
+    size_t ArenaBytes = 0;
+    for (const MatchChunk &Chunk : Chunks)
+      ArenaBytes += Chunk.Arena.capacity() * sizeof(Value);
+    if (Graph.governorTripped(ArenaBytes)) {
       Report.Iterations.push_back(Stats);
       Report.TotalSeconds = Total.seconds();
       return Report;

@@ -10,7 +10,10 @@
 /// the exact Rational type used by egglog's `Rational` base sort and by the
 /// mini-Herbie interval analysis (Fig. 10 of the paper), where interval
 /// endpoints must not overflow. Sign-magnitude representation with 32-bit
-/// limbs stored little-endian.
+/// limbs stored little-endian. Division is Knuth's Algorithm D (one limb of
+/// quotient per step); gcd is Euclid over an in-place remainder kernel
+/// that hands off to a binary gcd in native words once both operands fit
+/// in 128 bits (see DESIGN.md, "Exact arithmetic").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,9 +39,8 @@ public:
   /// Constructs from a native signed integer.
   BigInt(int64_t Value);
 
-  /// Parses a decimal string with optional leading '-'. Returns std::nullopt
-  /// semantics via the \p Ok flag: on failure, *this is zero and \p Ok is
-  /// set to false.
+  /// Parses a decimal string with optional leading '-' or '+', nine digits
+  /// per limb step. On failure the result is zero and \p Ok is false.
   static BigInt fromString(std::string_view Text, bool &Ok);
 
   /// Returns true if this integer is zero.
@@ -96,8 +98,22 @@ public:
   /// Multiplies by 2^Bits (Bits >= 0).
   BigInt shiftLeft(unsigned Bits) const;
 
+  /// Divides by 2^Bits, truncating toward zero like operator/ (the
+  /// magnitude is shifted, the sign kept).
+  BigInt shiftRight(unsigned Bits) const;
+
   /// Number of significant bits (0 for zero).
   unsigned bitWidth() const;
+
+  /// Number of trailing zero bits of the magnitude (0 for zero).
+  unsigned trailingZeros() const;
+
+  /// Returns true if the magnitude is a power of two (1 included).
+  bool isPowerOfTwo() const;
+
+  /// The magnitude's limbs, least significant first, without trailing
+  /// zero limbs.
+  const std::vector<uint32_t> &limbs() const { return Limbs; }
 
   bool operator==(const BigInt &Other) const {
     return Negative == Other.Negative && Limbs == Other.Limbs;
@@ -125,6 +141,13 @@ private:
                                             const std::vector<uint32_t> &B);
   static std::vector<uint32_t> mulMagnitude(const std::vector<uint32_t> &A,
                                             const std::vector<uint32_t> &B);
+  /// Divides magnitude U by nonzero magnitude V: the quotient goes to *Q
+  /// (skipped when Q is null) and the remainder to R. R may be U itself,
+  /// which reduces U in place.
+  static void divmodMagnitude(const std::vector<uint32_t> &U,
+                              const std::vector<uint32_t> &V,
+                              std::vector<uint32_t> *Q,
+                              std::vector<uint32_t> &R);
 };
 
 } // namespace egglog

@@ -6,6 +6,7 @@
 
 #include "support/Rational.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -24,6 +25,19 @@ void Rational::normalize() {
   }
   if (Num.isZero()) {
     Den = BigInt(1);
+    return;
+  }
+  if (Den.isOne())
+    return;
+  // Dyadic fast path: gcd(num, 2^k) is 2^min(ctz(num), k). Interval
+  // endpoints are dyadic after roundDown/roundUp, and so is every
+  // fromDouble value, so this is the common case.
+  if (Den.isPowerOfTwo()) {
+    unsigned Common = std::min(Num.trailingZeros(), Den.trailingZeros());
+    if (Common) {
+      Num = Num.shiftRight(Common);
+      Den = Den.shiftRight(Common);
+    }
     return;
   }
   BigInt Divisor = BigInt::gcd(Num, Den);
@@ -158,7 +172,7 @@ static BigInt icbrt(const BigInt &V) {
   unsigned Bits = (V.bitWidth() + 2) / 3 + 1;
   BigInt Low(0), High = BigInt(1).shiftLeft(Bits);
   while (Low < High) {
-    BigInt Mid = (Low + High + BigInt(1)) / BigInt(2);
+    BigInt Mid = (Low + High + BigInt(1)).shiftRight(1);
     if (Mid * Mid * Mid <= V)
       Low = Mid;
     else

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 using namespace egglog;
@@ -140,6 +141,47 @@ TEST(GovernorTest, MemoryCeilingTripsAndRollsBack) {
   EXPECT_EQ(F.lastError().Kind, ErrKind::Limit);
   EXPECT_NE(F.error().find("memory ceiling"), std::string::npos) << F.error();
   EXPECT_EQ(fingerprint(F), Before);
+}
+
+/// A join whose matches dwarf what it derives: every pair of the 300 `r`
+/// facts matches (90,000 two-variable matches, ~1.4 MB of arena) and the
+/// whole iteration adds a single tuple.
+void setupMatchHeavy(Frontend &F, int Threads) {
+  ASSERT_TRUE(F.execute("(set-option :threads " + std::to_string(Threads) +
+                        ")"))
+      << F.error();
+  ASSERT_TRUE(F.execute(R"(
+    (relation r (i64))
+    (relation s (i64))
+    (rule ((r x) (r y)) ((s 0)))
+  )")) << F.error();
+  std::string Facts;
+  for (int I = 0; I < 300; ++I)
+    Facts += "(r " + std::to_string(I) + ")\n";
+  ASSERT_TRUE(F.execute(Facts)) << F.error();
+}
+
+TEST(GovernorTest, MemoryCeilingCountsBufferedMatches) {
+  for (int Threads : {1, 4}) {
+    // Control: unlimited, the run succeeds and the tables it leaves behind
+    // sit far under the ceiling used below.
+    Frontend Control;
+    setupMatchHeavy(Control, Threads);
+    size_t Ceiling = Control.graph().approxBytes() + (size_t(256) << 10);
+    ASSERT_TRUE(Control.execute("(run 1)")) << Control.error();
+    EXPECT_LT(Control.graph().approxBytes(), Ceiling);
+
+    // Only the buffered match arenas can cross that ceiling.
+    Frontend F;
+    setupMatchHeavy(F, Threads);
+    StateFingerprint Before = fingerprint(F);
+    F.graph().governor().setMaxBytes(Ceiling);
+    EXPECT_FALSE(F.execute("(run 1)")) << "threads " << Threads;
+    EXPECT_EQ(F.lastError().Kind, ErrKind::Limit);
+    EXPECT_NE(F.error().find("memory ceiling"), std::string::npos)
+        << F.error();
+    EXPECT_EQ(fingerprint(F), Before);
+  }
 }
 
 TEST(GovernorTest, CancelFromAnotherThreadRollsBack) {

@@ -1,7 +1,8 @@
 //===- tests/support/BigIntTest.cpp - BigInt unit tests --------------------===//
 //
 // Part of egglog-cpp. Unit and property tests for arbitrary-precision
-// integers, checked against native 64-bit arithmetic oracles.
+// integers, checked against native 64-bit arithmetic oracles and, for
+// division and gcd, against a bit-at-a-time reference division.
 //
 //===----------------------------------------------------------------------===//
 
@@ -10,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <numeric>
 #include <random>
+#include <string>
+#include <vector>
 
 using egglog::BigInt;
 
@@ -204,3 +208,284 @@ TEST_P(BigIntPropertyTest, IsqrtBounds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 42u, 1234u));
+
+//===----------------------------------------------------------------------===//
+// Division and gcd against a bit-at-a-time reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Builds a value from little-endian limbs through shiftLeft and +, which
+/// the division kernels do not touch.
+BigInt fromLimbs(const std::vector<uint32_t> &Limbs, bool Negative = false) {
+  BigInt Result;
+  for (size_t I = Limbs.size(); I-- > 0;)
+    Result = Result.shiftLeft(32) + BigInt(static_cast<int64_t>(Limbs[I]));
+  return Negative ? -Result : Result;
+}
+
+/// Reference truncated division: schoolbook long division one bit at a
+/// time, built only from shiftLeft, +, - and compare. Slow, and simple
+/// enough to trust as the oracle for the limb-wise kernels.
+void referenceDivmod(const BigInt &Dividend, const BigInt &Divisor,
+                     BigInt &Quotient, BigInt &Remainder) {
+  ASSERT_FALSE(Divisor.isZero());
+  const std::vector<uint32_t> &Bits = Dividend.limbs();
+  BigInt AbsDivisor = Divisor.isNegative() ? -Divisor : Divisor;
+  std::vector<uint32_t> Quot(Bits.size(), 0);
+  BigInt Rem;
+  for (unsigned BitIndex = Dividend.bitWidth(); BitIndex-- > 0;) {
+    Rem = Rem.shiftLeft(1);
+    unsigned Limb = BitIndex / 32, Offset = BitIndex % 32;
+    if ((Bits[Limb] >> Offset) & 1)
+      Rem = Rem + BigInt(1);
+    if (Rem.compare(AbsDivisor) >= 0) {
+      Rem = Rem - AbsDivisor;
+      Quot[Limb] |= 1u << Offset;
+    }
+  }
+  Quotient = fromLimbs(Quot, Dividend.isNegative() != Divisor.isNegative());
+  Remainder = Dividend.isNegative() ? -Rem : Rem;
+}
+
+/// Euclid over the reference division.
+BigInt referenceGcd(BigInt A, BigInt B) {
+  if (A.isNegative())
+    A = -A;
+  if (B.isNegative())
+    B = -B;
+  while (!B.isZero()) {
+    BigInt Q, R;
+    referenceDivmod(A, B, Q, R);
+    A = std::move(B);
+    B = std::move(R);
+  }
+  return A;
+}
+
+/// Random limbs biased toward the edge values of a limb: 0, all ones and
+/// the lone top bit each take a quarter of the draws.
+std::vector<uint32_t> randomLimbs(std::mt19937_64 &Rng, size_t Count) {
+  std::vector<uint32_t> Limbs(Count);
+  for (uint32_t &Limb : Limbs) {
+    switch (Rng() % 4) {
+    case 0:
+      Limb = 0;
+      break;
+    case 1:
+      Limb = 0xffffffffu;
+      break;
+    case 2:
+      Limb = 0x80000000u;
+      break;
+    default:
+      Limb = static_cast<uint32_t>(Rng());
+    }
+  }
+  return Limbs;
+}
+
+void expectDivisionMatchesReference(const BigInt &A, const BigInt &B) {
+  BigInt RefQ, RefR;
+  referenceDivmod(A, B, RefQ, RefR);
+  BigInt Q, R;
+  BigInt::divmod(A, B, Q, R);
+  EXPECT_EQ(Q, RefQ) << A.toString() << " / " << B.toString();
+  EXPECT_EQ(R, RefR) << A.toString() << " % " << B.toString();
+  EXPECT_EQ(A / B, RefQ);
+  EXPECT_EQ(A % B, RefR);
+}
+
+} // namespace
+
+TEST(BigIntDivisionTest, ReferenceAgreesWithNativeArithmetic) {
+  // The oracle itself, checked on values where int64 is the ground truth.
+  const int64_t Dividends[] = {0,         1,         7,
+                              -7,        1LL << 40, -(1LL << 40) - 3,
+                              INT64_MAX, INT64_MIN + 1};
+  const int64_t Divisors[] = {1, -1, 2, -3, 1000000007, 1LL << 33};
+  for (int64_t X : Dividends)
+    for (int64_t Y : Divisors) {
+      BigInt Q, R;
+      referenceDivmod(BigInt(X), BigInt(Y), Q, R);
+      EXPECT_EQ(Q.toInt64(), X / Y);
+      EXPECT_EQ(R.toInt64(), X % Y);
+    }
+}
+
+TEST(BigIntDivisionTest, RandomOperandsMatchReference) {
+  // 1-40 limb operands with edge-value limbs, under all four sign
+  // combinations; the divisor is sometimes longer than the dividend.
+  std::mt19937_64 Rng(20231);
+  for (int Trial = 0; Trial < 120; ++Trial) {
+    std::vector<uint32_t> ALimbs = randomLimbs(Rng, 1 + Rng() % 40);
+    std::vector<uint32_t> BLimbs = randomLimbs(Rng, 1 + Rng() % 40);
+    if (Rng() % 3 == 0 && ALimbs.size() > 1)
+      BLimbs.resize(1 + Rng() % ALimbs.size());
+    BigInt A = fromLimbs(ALimbs), B = fromLimbs(BLimbs);
+    if (B.isZero())
+      B = BigInt(0x80000000LL);
+    for (int Signs = 0; Signs < 4; ++Signs)
+      expectDivisionMatchesReference(Signs & 1 ? -A : A, Signs & 2 ? -B : B);
+  }
+}
+
+TEST(BigIntDivisionTest, SingleLimbDivisors) {
+  std::mt19937_64 Rng(77);
+  for (uint32_t Divisor : {1u, 2u, 3u, 10u, 1000000000u, 0x7fffffffu,
+                           0x80000000u, 0xffffffffu}) {
+    for (int Trial = 0; Trial < 8; ++Trial) {
+      BigInt A = fromLimbs(randomLimbs(Rng, 1 + Rng() % 40), Trial & 1);
+      expectDivisionMatchesReference(A, BigInt(int64_t(Divisor)));
+      expectDivisionMatchesReference(A, -BigInt(int64_t(Divisor)));
+    }
+  }
+}
+
+TEST(BigIntDivisionTest, QuotientDigitCorrectionAndAddBack) {
+  // Operands (little-endian limbs) that drive Algorithm D's rare paths.
+  // First: the two-limb test lowers q-hat twice and no add-back follows.
+  expectDivisionMatchesReference(
+      fromLimbs({0x7fffffffu, 0x00000001u, 0x80000000u}),
+      fromLimbs({0x00000002u, 0x80000000u}));
+  // q-hat survives the two-limb test yet is one too large: the window
+  // goes negative and the divisor is added back.
+  expectDivisionMatchesReference(fromLimbs({0x00007fffu, 0, 0x00008000u}),
+                                 fromLimbs({0x00000002u, 0, 0x00000002u}));
+  // Both: two corrections, then an add-back.
+  expectDivisionMatchesReference(
+      fromLimbs({0, 0, 0xffffffffu, 0x80000000u}),
+      fromLimbs({0xfffffffeu, 0xffffffffu, 0x80000000u}));
+  expectDivisionMatchesReference(
+      fromLimbs({0x00008000u, 0x00000002u, 0, 0x00008000u}),
+      fromLimbs({0xfffffffeu, 0, 0x80000000u}));
+  // The same shapes pinned by value, so a wrong oracle cannot hide them.
+  BigInt Q, R;
+  BigInt::divmod(fromLimbs({0x00007fffu, 0, 0x00008000u}),
+                 fromLimbs({0x00000002u, 0, 0x00000002u}), Q, R);
+  EXPECT_EQ(Q, BigInt(0x3fff));
+  EXPECT_EQ(R, fromLimbs({0x00000001u, 0, 0x00000002u}));
+}
+
+TEST(BigIntDivisionTest, DivisorLongerThanDividend) {
+  BigInt A = fromLimbs({5, 6}), B = fromLimbs({1, 2, 3});
+  BigInt Q, R;
+  BigInt::divmod(A, B, Q, R);
+  EXPECT_TRUE(Q.isZero());
+  EXPECT_EQ(R, A);
+  BigInt::divmod(-A, B, Q, R);
+  EXPECT_TRUE(Q.isZero());
+  EXPECT_EQ(R, -A);
+}
+
+TEST(BigIntDivisionTest, OutputsMayAliasInputs) {
+  BigInt A = fromLimbs({1, 2, 3, 4}), B = fromLimbs({7, 9});
+  BigInt ExpectQ = A / B, ExpectR = A % B;
+  BigInt X = A, Rem;
+  BigInt::divmod(X, B, X, Rem);
+  EXPECT_EQ(X, ExpectQ);
+  EXPECT_EQ(Rem, ExpectR);
+  BigInt Y = B, Quot;
+  BigInt::divmod(A, Y, Quot, Y);
+  EXPECT_EQ(Quot, ExpectQ);
+  EXPECT_EQ(Y, ExpectR);
+}
+
+TEST(BigIntDivisionTest, GcdMatchesReference) {
+  std::mt19937_64 Rng(4242);
+  for (int Trial = 0; Trial < 40; ++Trial) {
+    // A shared factor makes the gcd nontrivial.
+    BigInt Common = fromLimbs(randomLimbs(Rng, 1 + Rng() % 3));
+    BigInt A = fromLimbs(randomLimbs(Rng, 1 + Rng() % 6)) * Common;
+    BigInt B = fromLimbs(randomLimbs(Rng, 1 + Rng() % 6)) * Common;
+    for (int Signs = 0; Signs < 4; ++Signs) {
+      BigInt SA = Signs & 1 ? -A : A, SB = Signs & 2 ? -B : B;
+      EXPECT_EQ(BigInt::gcd(SA, SB), referenceGcd(SA, SB))
+          << SA.toString() << ", " << SB.toString();
+    }
+  }
+}
+
+TEST(BigIntDivisionTest, GcdOfLargeMultiples) {
+  // gcd(G*x, G*y) == G*gcd(x, y): checks 40-limb operands against native
+  // gcd on the 64-bit cofactors, beyond the reach of the slow reference.
+  auto FromU64 = [](uint64_t V) {
+    return fromLimbs({static_cast<uint32_t>(V), static_cast<uint32_t>(V >> 32)});
+  };
+  std::mt19937_64 Rng(99);
+  for (int Trial = 0; Trial < 40; ++Trial) {
+    BigInt G = fromLimbs(randomLimbs(Rng, 1 + Rng() % 40));
+    if (G.isZero())
+      continue;
+    uint64_t X = Rng() >> (Rng() % 64), Y = Rng() >> (Rng() % 64);
+    EXPECT_EQ(BigInt::gcd(G * FromU64(X), -(G * FromU64(Y))),
+              G * FromU64(std::gcd(X, Y)));
+  }
+  EXPECT_EQ(BigInt::gcd(BigInt(0), BigInt(0)), BigInt(0));
+  BigInt Big = fromLimbs(randomLimbs(Rng, 40));
+  EXPECT_EQ(BigInt::gcd(Big, BigInt(0)), Big);
+  EXPECT_EQ(BigInt::gcd(BigInt(0), -Big), Big);
+}
+
+TEST(BigIntTest, FromStringChunkBoundaries) {
+  // Nine digits per limb step: lengths around multiples of nine, leading
+  // zeros, and a '+' sign all parse to the same value as digit-at-a-time.
+  bool Ok = false;
+  std::string Digits;
+  BigInt Expect;
+  for (int Length = 1; Length <= 40; ++Length) {
+    char Digit = static_cast<char>('0' + (Length * 7) % 10);
+    Digits.push_back(Digit);
+    Expect = Expect * BigInt(10) + BigInt(Digit - '0');
+    EXPECT_EQ(BigInt::fromString(Digits, Ok), Expect) << Digits;
+    EXPECT_TRUE(Ok);
+    EXPECT_EQ(BigInt::fromString("-" + Digits, Ok), -Expect);
+    EXPECT_EQ(BigInt::fromString("+000" + Digits, Ok), Expect);
+    EXPECT_TRUE(Ok);
+  }
+  EXPECT_EQ(BigInt::fromString("000000000000", Ok), BigInt(0));
+  EXPECT_TRUE(Ok);
+  BigInt Bad = BigInt::fromString("1234567890123x", Ok);
+  EXPECT_FALSE(Ok);
+  EXPECT_TRUE(Bad.isZero());
+  std::mt19937_64 Rng(5);
+  for (int Trial = 0; Trial < 20; ++Trial) {
+    BigInt V = fromLimbs(randomLimbs(Rng, 1 + Rng() % 40), Trial & 1);
+    EXPECT_EQ(BigInt::fromString(V.toString(), Ok), V);
+    EXPECT_TRUE(Ok);
+  }
+}
+
+TEST(BigIntTest, ShiftRightTruncatesTowardZero) {
+  EXPECT_EQ(BigInt(1024).shiftRight(10), BigInt(1));
+  EXPECT_EQ(BigInt(1023).shiftRight(10), BigInt(0));
+  EXPECT_EQ(BigInt(-7).shiftRight(1), BigInt(-3));
+  EXPECT_EQ(BigInt(-1).shiftRight(1), BigInt(0));
+  EXPECT_FALSE(BigInt(-1).shiftRight(1).isNegative());
+  EXPECT_EQ(BigInt(5).shiftRight(0), BigInt(5));
+  EXPECT_EQ(BigInt(0).shiftRight(7), BigInt(0));
+  std::mt19937_64 Rng(11);
+  for (int Trial = 0; Trial < 50; ++Trial) {
+    BigInt V = fromLimbs(randomLimbs(Rng, 1 + Rng() % 10), Trial & 1);
+    unsigned Bits = static_cast<unsigned>(Rng() % 400);
+    EXPECT_EQ(V.shiftRight(Bits), V / BigInt(1).shiftLeft(Bits));
+    EXPECT_EQ(V.shiftLeft(Bits).shiftRight(Bits), V);
+  }
+}
+
+TEST(BigIntTest, TrailingZerosAndPowersOfTwo) {
+  EXPECT_EQ(BigInt(0).trailingZeros(), 0u);
+  EXPECT_FALSE(BigInt(0).isPowerOfTwo());
+  EXPECT_TRUE(BigInt(1).isPowerOfTwo());
+  EXPECT_FALSE(BigInt(3).isPowerOfTwo());
+  EXPECT_EQ(BigInt(12).trailingZeros(), 2u);
+  for (unsigned Bits : {0u, 1u, 31u, 32u, 33u, 63u, 64u, 100u, 1023u}) {
+    BigInt Power = BigInt(1).shiftLeft(Bits);
+    EXPECT_TRUE(Power.isPowerOfTwo()) << Bits;
+    EXPECT_TRUE((-Power).isPowerOfTwo()) << Bits;
+    EXPECT_EQ(Power.trailingZeros(), Bits);
+    EXPECT_EQ((Power * BigInt(3)).trailingZeros(), Bits);
+    EXPECT_FALSE((Power * BigInt(3)).isPowerOfTwo());
+    EXPECT_FALSE((Power + BigInt(1).shiftLeft(Bits + 40)).isPowerOfTwo());
+  }
+}

@@ -1,15 +1,19 @@
 //===- tests/support/RationalTest.cpp - Rational unit tests ----------------===//
 //
 // Part of egglog-cpp. Tests for exact rational arithmetic, including the
-// sqrt/cbrt bounds used by the mini-Herbie interval analysis.
+// sqrt/cbrt bounds used by the mini-Herbie interval analysis, the
+// normalization fast paths, and the interval primitives' saturation at
+// 1024-bit magnitudes.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Frontend.h"
 #include "support/Rational.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 using egglog::BigInt;
 using egglog::Rational;
@@ -188,4 +192,195 @@ TEST(RationalTest, OutwardRoundingNegative) {
   Rational V = -Rational(BigInt(10).pow(40) + BigInt(7), BigInt(10).pow(39));
   EXPECT_LE(V.roundDown(64), V);
   EXPECT_GE(V.roundUp(64), V);
+}
+
+//===----------------------------------------------------------------------===//
+// Normalization fast paths
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Canonical form by the general route: divide out the full gcd, then move
+/// the sign to the numerator.
+void expectCanonical(const BigInt &Num, const BigInt &Den) {
+  BigInt G = BigInt::gcd(Num, Den);
+  BigInt ExpectNum = Num / G, ExpectDen = Den / G;
+  if (ExpectDen.isNegative()) {
+    ExpectNum = -ExpectNum;
+    ExpectDen = -ExpectDen;
+  }
+  Rational R(Num, Den);
+  EXPECT_EQ(R.numerator(), ExpectNum) << Num.toString() << "/" << Den.toString();
+  EXPECT_EQ(R.denominator(), ExpectDen)
+      << Num.toString() << "/" << Den.toString();
+}
+
+} // namespace
+
+TEST(RationalTest, NormalizeFastPathsMatchGcd) {
+  std::mt19937_64 Rng(17);
+  std::uniform_int_distribution<int64_t> Dist(-1000000000LL, 1000000000LL);
+  for (int Trial = 0; Trial < 200; ++Trial) {
+    // Numerators with a random power of two folded in, so the dyadic path
+    // sees every relation between ctz(num) and log2(den).
+    BigInt Num = BigInt(Dist(Rng)).shiftLeft(static_cast<unsigned>(Rng() % 90));
+    unsigned K = static_cast<unsigned>(Rng() % 150);
+    BigInt Power = BigInt(1).shiftLeft(K);
+    expectCanonical(Num, BigInt(1));
+    expectCanonical(Num, BigInt(-1));
+    expectCanonical(Num, Power);
+    expectCanonical(-Num, Power);
+    expectCanonical(Num, -Power);
+    // Not a power of two: the general gcd path.
+    expectCanonical(Num, Power * BigInt(3));
+    expectCanonical(Num, Power + BigInt(1).shiftLeft(K + 1));
+  }
+  Rational Zero(BigInt(0), BigInt(1).shiftLeft(70));
+  EXPECT_EQ(Zero.denominator(), BigInt(1));
+  Rational Exact(BigInt(3).shiftLeft(100), BigInt(1).shiftLeft(100));
+  EXPECT_EQ(Exact, Rational(3));
+  EXPECT_TRUE(Exact.isInteger());
+}
+
+TEST(RationalTest, InfinitiesBypassNormalization) {
+  Rational Inf = Rational::posInfinity(), NegInf = Rational::negInfinity();
+  Rational Dyadic(BigInt(-3), BigInt(8));
+  EXPECT_EQ(Inf * Dyadic, NegInf);
+  EXPECT_EQ((Inf * Dyadic).denominator(), BigInt(0));
+  EXPECT_EQ(Inf + Dyadic, Inf);
+  EXPECT_EQ(Dyadic / Inf, Rational(0));
+  EXPECT_EQ((Dyadic / Inf).denominator(), BigInt(1));
+  EXPECT_EQ(NegInf.inverse(), Rational(0));
+  EXPECT_EQ(Inf.roundDown(), Inf);
+  EXPECT_EQ(NegInf.roundUp(), NegInf);
+  EXPECT_EQ(Inf.sqrtLower(), Inf);
+  EXPECT_EQ(NegInf.cbrtUpper(), NegInf);
+}
+
+TEST(RationalTest, RoundingAndRootsPinned) {
+  // Pinned outputs: the interval analysis interns these values, so any
+  // change to them changes e-graphs and extracted candidates.
+  Rational A(BigInt(10).pow(40) + BigInt(7), BigInt(10).pow(39));
+  Rational B(BigInt(1).shiftLeft(2000) + BigInt(1), BigInt(1).shiftLeft(2000));
+  Rational C(BigInt(3).pow(700), BigInt(7).pow(300));
+  Rational Third(BigInt(1), BigInt(3));
+  EXPECT_EQ(A.roundDown().toString(), "10");
+  EXPECT_EQ(A.roundUp().toString(),
+            "23058430092136939521/2305843009213693952");
+  EXPECT_EQ((-A).roundDown().toString(),
+            "-23058430092136939521/2305843009213693952");
+  EXPECT_EQ((-A).roundUp().toString(), "-10");
+  EXPECT_EQ((-A).roundDown(32).toString(), "-5368709121/536870912");
+  EXPECT_EQ(B.roundDown().toString(), "1");
+  EXPECT_EQ(B.roundUp().toString(),
+            "18446744073709551617/18446744073709551616");
+  EXPECT_EQ(C.roundDown().toString(),
+            "285408103335818771241728317669691768420185465752822756216750025"
+            "549325131587780608");
+  EXPECT_EQ(C.roundUp().toString(),
+            "285408103335818771254583822023763690624521162491552057036927649"
+            "499587474270191616");
+  EXPECT_EQ(Third.roundDown().toString(), "1/3");
+  EXPECT_EQ(A.roundDown().sqrtLower(30).toString(), "1697734891/536870912");
+  EXPECT_EQ(A.roundDown().sqrtLower().toString(),
+            "445051015374261/140737488355328");
+  EXPECT_EQ(Third.sqrtLower(30).toString(), "619925131/1073741824");
+  EXPECT_EQ(Third.sqrtLower().toString(), "243764480361061/422212465065984");
+  EXPECT_EQ(Rational(2).sqrtLower().toString(),
+            "99516432383215/70368744177664");
+  EXPECT_EQ(A.roundUp().cbrtUpper(30).toString(),
+            "2667060964815856209890228601/1237940039285380274899124224");
+  EXPECT_EQ((-A).roundUp().cbrtUpper(30).toString(), "-2313306633/1073741824");
+  EXPECT_EQ(B.roundUp().cbrtUpper(30).toString(),
+            "9903520314283042199371950763/9903520314283042199192993792");
+  EXPECT_EQ(Third.cbrtUpper(30).toString(), "2233472999/3221225472");
+  EXPECT_EQ(Rational(10).cbrtUpper().toString(),
+            "303209727100677/140737488355328");
+  EXPECT_EQ(Rational(-10).cbrtUpper().toString(),
+            "-606419454201353/281474976710656");
+}
+
+//===----------------------------------------------------------------------===//
+// Interval primitives at the 1024-bit saturation regime
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string literal(const Rational &R) {
+  return "(rational-big \"" + R.numerator().toString() + "\" \"" +
+         R.denominator().toString() + "\")";
+}
+
+/// Applies an interval primitive through the frontend and returns the
+/// extracted result as printed.
+std::string applyPrim(const char *Op, const Rational &Arg) {
+  egglog::Frontend F;
+  std::string Source =
+      std::string("(extract (") + Op + " " + literal(Arg) + "))";
+  EXPECT_TRUE(F.execute(Source)) << F.error();
+  return F.outputs().empty() ? std::string() : F.outputs().back();
+}
+
+std::string integerOutput(const BigInt &V) {
+  return "(rational-big \"" + V.toString() + "\" \"1\")";
+}
+
+std::string reciprocalOutput(const BigInt &V) {
+  return "(rational-big \"1\" \"" + V.toString() + "\")";
+}
+
+} // namespace
+
+TEST(RationalTest, IntervalPrimitivesSaturatePastTheCap) {
+  // 2^1100 + 1 still has a 1101-bit numerator after 64-bit rounding, so
+  // lower bounds saturate to the cap 2^896 and upper bounds to +inf; the
+  // reciprocal saturates to 0 / 2^-896.
+  Rational Huge(BigInt(1).shiftLeft(1100) + BigInt(1), BigInt(1));
+  Rational Tiny = Huge.inverse();
+  BigInt Cap = BigInt(1).shiftLeft(896);
+  const std::string PosInf = "(rational 1 0)", NegInf = "(rational -1 0)";
+  const std::string Zero = "(rational 0 1)";
+  const std::string CbrtCap =
+      "808398262932607875805592260756432342438738120750887540887994093372"
+      "720022448044583438778368";
+
+  EXPECT_EQ(applyPrim("round-lo", Huge), integerOutput(Cap));
+  EXPECT_EQ(applyPrim("round-hi", Huge), PosInf);
+  EXPECT_EQ(applyPrim("sqrt-lo", Huge), integerOutput(BigInt(1).shiftLeft(448)));
+  EXPECT_EQ(applyPrim("sqrt-hi", Huge), PosInf);
+  EXPECT_EQ(applyPrim("cbrt-lo", Huge), "(rational-big \"" + CbrtCap + "\" \"1\")");
+  EXPECT_EQ(applyPrim("cbrt-hi", Huge), PosInf);
+
+  EXPECT_EQ(applyPrim("round-lo", -Huge), NegInf);
+  EXPECT_EQ(applyPrim("round-hi", -Huge), integerOutput(-Cap));
+  EXPECT_EQ(applyPrim("cbrt-lo", -Huge), NegInf);
+  EXPECT_EQ(applyPrim("cbrt-hi", -Huge),
+            "(rational-big \"-" + CbrtCap + "\" \"1\")");
+
+  EXPECT_EQ(applyPrim("round-lo", Tiny), Zero);
+  EXPECT_EQ(applyPrim("round-hi", Tiny), reciprocalOutput(Cap));
+  EXPECT_EQ(applyPrim("sqrt-lo", Tiny), Zero);
+  EXPECT_EQ(applyPrim("sqrt-hi", Tiny),
+            reciprocalOutput(BigInt(1).shiftLeft(448)));
+  EXPECT_EQ(applyPrim("cbrt-lo", Tiny), Zero);
+  EXPECT_EQ(applyPrim("cbrt-hi", Tiny),
+            "(rational-big \"23241441160490167843\" "
+            "\"1878834066219066582311584477431469621900546039126655896565832"
+            "7772257672200916867547709591987078149624255479808\")");
+  EXPECT_EQ(applyPrim("round-lo", -Tiny), "(rational-big \"-1\" \"" +
+                                              Cap.toString() + "\")");
+  EXPECT_EQ(applyPrim("round-hi", -Tiny), Zero);
+}
+
+TEST(RationalTest, IntervalPrimitivesRoundWideButModerateValues) {
+  // (2^2000 + 1) / 2^2000 is wide but near 1: rounding to 64 bits absorbs
+  // the width, so nothing saturates.
+  Rational NearOne(BigInt(1).shiftLeft(2000) + BigInt(1),
+                   BigInt(1).shiftLeft(2000));
+  const std::string Up =
+      "(rational-big \"18446744073709551617\" \"18446744073709551616\")";
+  for (const char *Op : {"round-lo", "sqrt-lo", "cbrt-lo"})
+    EXPECT_EQ(applyPrim(Op, NearOne), "(rational 1 1)") << Op;
+  for (const char *Op : {"round-hi", "sqrt-hi", "cbrt-hi"})
+    EXPECT_EQ(applyPrim(Op, NearOne), Up) << Op;
 }
